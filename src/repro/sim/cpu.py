@@ -19,7 +19,7 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, _ScheduledCall
 from repro.units import MS
 
 __all__ = ["CpuCore", "CpuWork"]
@@ -58,6 +58,14 @@ class CpuCore:
     waits at most one quantum before it first runs.  This is a faithful
     enough model of CFS for the per-second latency granularity the paper
     reports, while staying exactly deterministic.
+
+    A task dispatched onto an empty run queue with at least two quanta
+    left is a *solo run*: its slice-end call is inline-advanced by the
+    simulator one quantum at a time (``stride``) up to its last quantum
+    boundary, so the uncontended slice ends in between cost no callback.
+    The finished quanta are credited arithmetically, by accounting reads
+    and by a ``submit`` that ends the solo run.  Timing, accounting and
+    event order are exactly those of one slice-end callback per quantum.
     """
 
     def __init__(
@@ -75,8 +83,10 @@ class CpuCore:
         self._current: Optional[CpuWork] = None
         self._busy_ns = 0
         self._busy_by_label: Dict[str, int] = {}
-        self._idle_since = sim.now
-        self._slice_started_at = 0
+        #: The current task's inline-advanced slice end while it runs
+        #: solo, and the time the solo run started.
+        self._solo: Optional[_ScheduledCall] = None
+        self._solo_start = 0
 
     # ------------------------------------------------------------------
     # Submission
@@ -96,6 +106,8 @@ class CpuCore:
         self._run_queue.append(work)
         if self._current is None:
             self._dispatch()
+        elif self._solo is not None:
+            self._end_solo(self._solo)
         return work.done
 
     def run(self, work_ns: int, label: str = ""):
@@ -107,18 +119,51 @@ class CpuCore:
     # Scheduling internals
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        if self._current is not None:
-            return
-        if not self._run_queue:
-            self._idle_since = self.sim.now
+        if self._current is not None or not self._run_queue:
             return
         work = self._run_queue.popleft()
         self._current = work
-        self._slice_started_at = self.sim.now
-        slice_ns = min(self.quantum_ns, work.remaining)
-        self.sim.schedule(slice_ns, self._on_slice_end, work, slice_ns)
+        quantum = self.quantum_ns
+        if self._run_queue or work.remaining < 2 * quantum:
+            slice_ns = min(quantum, work.remaining)
+            self.sim.schedule(slice_ns, self._on_slice_end, work, slice_ns)
+            return
+        # Solo run: one call, keyed like the per-slice chain's first
+        # slice end, that ends at the last quantum boundary of the work
+        # and charges every quantum up to it.
+        run_ns = work.remaining - work.remaining % quantum
+        now = self.sim.now
+        call = self.sim.schedule(quantum, self._on_slice_end, work, run_ns)
+        call.stride = quantum
+        call.stride_end = now + run_ns
+        self._solo = call
+        self._solo_start = now
+
+    def _solo_done_ns(self) -> int:
+        """CPU-ns of the solo run's quanta that ended before its pending
+        slice end (0 when not running solo)."""
+        call = self._solo
+        if call is None:
+            return 0
+        return call.time - self._solo_start - self.quantum_ns
+
+    def _end_solo(self, call: _ScheduledCall) -> None:
+        """Turn the solo run's pending ``call`` back into an ordinary slice
+        end at its current key, crediting the quanta finished before it."""
+        work = call.args[0]
+        done_ns = self._solo_done_ns()
+        self._solo = None
+        call.stride = 0
+        call.args = (work, self.quantum_ns)
+        if done_ns:
+            self._busy_ns += done_ns
+            self._busy_by_label[work.label] = (
+                self._busy_by_label.get(work.label, 0) + done_ns
+            )
+            work.remaining -= done_ns
 
     def _on_slice_end(self, work: CpuWork, slice_ns: int) -> None:
+        self._solo = None
         self._busy_ns += slice_ns
         self._busy_by_label[work.label] = (
             self._busy_by_label.get(work.label, 0) + slice_ns
@@ -148,28 +193,33 @@ class CpuCore:
     @property
     def busy_ns(self) -> int:
         """Total CPU-nanoseconds executed on this core (completed slices)."""
-        return self._busy_ns
+        return self._busy_ns + self._solo_done_ns()
 
     def busy_ns_for(self, label: str) -> int:
         """CPU-nanoseconds charged to an exact accounting label."""
-        return self._busy_by_label.get(label, 0)
+        return self.accounting().get(label, 0)
 
     def busy_ns_for_prefix(self, prefix: str) -> int:
         """CPU-nanoseconds charged to all labels starting with ``prefix``."""
         return sum(
-            ns for label, ns in self._busy_by_label.items() if label.startswith(prefix)
+            ns for label, ns in self.accounting().items() if label.startswith(prefix)
         )
 
     def accounting(self) -> Dict[str, int]:
         """A copy of the per-label CPU-time table (label → ns)."""
-        return dict(self._busy_by_label)
+        table = dict(self._busy_by_label)
+        done_ns = self._solo_done_ns()
+        if done_ns:
+            label = self._current.label  # type: ignore[union-attr]
+            table[label] = table.get(label, 0) + done_ns
+        return table
 
     def utilization(self, since_ns: int = 0) -> float:
         """Fraction of wall time this core was busy since ``since_ns``."""
         elapsed = self.sim.now - since_ns
         if elapsed <= 0:
             return 0.0
-        return min(1.0, self._busy_ns / elapsed)
+        return min(1.0, self.busy_ns / elapsed)
 
     def __repr__(self) -> str:
         state = "busy" if self.busy else "idle"

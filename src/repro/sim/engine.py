@@ -195,27 +195,36 @@ class Process:
 
 
 class _ScheduledCall:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a scheduled callback; supports cancellation.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    The heap holds ``(time, seq, call)`` tuples, so ordering is a C-level
+    tuple compare and this object is never compared.  ``time`` mirrors
+    the entry's current key.
 
-    def __init__(self, time: int, seq: int, callback: Callable[..., None], args: tuple):
+    A scheduler may set ``stride``/``stride_end`` on a pending call to
+    mark it *inline-advanced*: whenever the engine pops it before
+    ``stride_end``, it re-keys the call to its first boundary
+    ``time + k * stride`` (k >= 1) at or after the next pending time
+    (capped at ``stride_end``) instead of running it, executing no
+    callback and no probe.  The callback runs once, at ``stride_end``
+    or after the scheduler clears ``stride``.  This is only sound when
+    running the callback at the skipped boundaries would have done
+    nothing but schedule itself again one stride later.
+    """
+
+    __slots__ = ("time", "callback", "args", "cancelled", "stride", "stride_end")
+
+    def __init__(self, time: int, callback: Callable[..., None], args: tuple):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.stride = 0
+        self.stride_end = 0
 
     def cancel(self) -> None:
         """Prevent the callback from running (safe after it already ran)."""
         self.cancelled = True
-
-    def __lt__(self, other: "_ScheduledCall") -> bool:
-        # Compared O(log n) times per heap operation — attribute
-        # comparisons, not tuple construction, keep the loop churn-free.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
 
 class Simulator:
@@ -229,7 +238,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: list[_ScheduledCall] = []
+        self._queue: list[tuple[int, int, _ScheduledCall]] = []
         self._running = False
         #: Observers invoked after every executed callback (e.g. the
         #: memory-state sanitizer's every-N-events checkpoint).  Probes
@@ -266,9 +275,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        call = _ScheduledCall(int(time), self._seq, callback, args)
+        call = _ScheduledCall(int(time), callback, args)
+        heapq.heappush(self._queue, (call.time, self._seq, call))
         self._seq += 1
-        heapq.heappush(self._queue, call)
         return call
 
     def event(self) -> Event:
@@ -281,15 +290,55 @@ class Simulator:
         self.schedule(0, process._resume, None)
         return process
 
-    def step(self) -> bool:
-        """Run the next pending callback; return ``False`` if none is left."""
+    def _advance_head(self, time: int, call: _ScheduledCall,
+                      until: Optional[int]) -> None:
+        """Re-key the strided heap head ``call`` (now at ``time``) forward.
+
+        The target is its first boundary ``time + k * call.stride``
+        (k >= 1) at or after the next pending time, or ``until + 1`` if
+        that is earlier, capped at ``call.stride_end``.  The next pending
+        time is the smaller of the root's two heap children.  The entry
+        takes one fresh ``seq``, exactly as if its callback had run at
+        the last skipped boundary and scheduled itself again: nothing
+        else runs in the skipped gap, so no other ``seq`` is taken there.
+        """
         queue = self._queue
-        heappop = heapq.heappop
+        end = call.stride_end
+        if len(queue) > 2:
+            limit = min(queue[1][0], queue[2][0])
+        elif len(queue) == 2:
+            limit = queue[1][0]
+        else:
+            limit = end
+        if until is not None and until < limit:
+            limit = until + 1
+        stride = call.stride
+        target = time + stride
+        if limit > target:
+            target += (limit - target + stride - 1) // stride * stride
+        if target > end:
+            target = end
+        call.time = target
+        heapq.heapreplace(queue, (target, self._seq, call))
+        self._seq += 1
+
+    def step(self) -> bool:
+        """Run the next pending callback; return ``False`` if none is left.
+
+        Inline-advanced calls (see :class:`_ScheduledCall`) are moved on
+        the way, so a step always executes exactly one callback.
+        """
+        queue = self._queue
         while queue:
-            call = heappop(queue)
+            time, _, call = queue[0]
             if call.cancelled:
+                heapq.heappop(queue)
                 continue
-            self._now = call.time
+            if call.stride and time < call.stride_end:
+                self._advance_head(time, call, None)
+                continue
+            heapq.heappop(queue)
+            self._now = time
             call.callback(*call.args)
             if self._probes:
                 for probe in self._probes:
@@ -317,15 +366,18 @@ class Simulator:
         probes = self._probes
         try:
             while queue:
-                head = queue[0]
-                if head.cancelled:
+                time, _, call = queue[0]
+                if call.cancelled:
                     heappop(queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
+                if call.stride and time < call.stride_end:
+                    self._advance_head(time, call, until)
+                    continue
                 heappop(queue)
-                self._now = head.time
-                head.callback(*head.args)
+                self._now = time
+                call.callback(*call.args)
                 if probes:
                     for probe in probes:
                         probe()
@@ -347,4 +399,4 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of live (non-cancelled) calls still queued."""
-        return sum(1 for call in self._queue if not call.cancelled)
+        return sum(1 for _, _, call in self._queue if not call.cancelled)

@@ -26,8 +26,6 @@ from repro.experiments.serverless import (
 )
 from repro.faas.policy import DeploymentMode
 
-pytestmark = pytest.mark.slow
-
 ORIGINAL_MODES = ("hotmem", "vanilla", "overprovisioned")
 
 #: SHA-256 digests of the canonicalized artifacts, captured on the tree
