@@ -246,8 +246,9 @@ class MemSanitizer:
         """Also sweep every N executed simulator events.
 
         ``every_n_sim_events`` overrides the config value when positive.
-        Only executed callbacks count: the slice boundaries of a solo
-        CPU run are advanced without one, so a coalesced run checkpoints
+        Only executed callbacks count: the regular slice boundaries of
+        a steady CPU run (one task alone, or a contended round-robin
+        rotation) are advanced without one, so such a run checkpoints
         less often per simulated second.
         """
         if self._bound_sim is not None:

@@ -16,7 +16,7 @@ path consumed on it (Figure 7).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator, _ScheduledCall
@@ -59,13 +59,17 @@ class CpuCore:
     enough model of CFS for the per-second latency granularity the paper
     reports, while staying exactly deterministic.
 
-    A task dispatched onto an empty run queue with at least two quanta
-    left is a *solo run*: its slice-end call is inline-advanced by the
-    simulator one quantum at a time (``stride``) up to its last quantum
-    boundary, so the uncontended slice ends in between cost no callback.
-    The finished quanta are credited arithmetically, by accounting reads
-    and by a ``submit`` that ends the solo run.  Timing, accounting and
-    event order are exactly those of one slice-end callback per quantum.
+    Between a dispatch and the first *irregular* boundary (a task
+    completing, or a task starting its short last slice), every slice
+    end of the rotation (the current task plus the run queue, n >= 1)
+    would only charge a full quantum, move the task to the tail and run
+    the next one.  Such a stretch is a *steady run*: its slice-end call
+    is inline-advanced by the simulator one quantum at a time
+    (``stride``) up to that boundary, so the regular slice ends in
+    between cost no callback.  The passed quanta are credited
+    arithmetically, by accounting reads and by a ``submit`` or the
+    final callback that ends the run.  Timing, accounting and event
+    order are exactly those of one slice-end callback per quantum.
     """
 
     def __init__(
@@ -83,10 +87,12 @@ class CpuCore:
         self._current: Optional[CpuWork] = None
         self._busy_ns = 0
         self._busy_by_label: Dict[str, int] = {}
-        #: The current task's inline-advanced slice end while it runs
-        #: solo, and the time the solo run started.
-        self._solo: Optional[_ScheduledCall] = None
-        self._solo_start = 0
+        #: The inline-advanced slice end of the steady run in progress,
+        #: and the time the run started.  During a steady run
+        #: ``_current`` and ``_run_queue`` hold the rotation as it was
+        #: dispatched; ``_settle_steady`` applies the passed boundaries.
+        self._steady: Optional[_ScheduledCall] = None
+        self._steady_start = 0
 
     # ------------------------------------------------------------------
     # Submission
@@ -103,11 +109,18 @@ class CpuCore:
             done.trigger(None)
             return done
         work = CpuWork(label, work_ns, done, self.sim.now)
+        call = self._steady
+        if call is not None:
+            # The rotation must reach its current state before the
+            # newcomer joins its tail; the pending entry then ends the
+            # current task's slice at its exact key.
+            self._settle_steady()
+            call.stride = 0
+            call.callback = self._on_slice_end
+            call.args = (self._current, self.quantum_ns)
         self._run_queue.append(work)
         if self._current is None:
             self._dispatch()
-        elif self._solo is not None:
-            self._end_solo(self._solo)
         return work.done
 
     def run(self, work_ns: int, label: str = ""):
@@ -121,49 +134,89 @@ class CpuCore:
     def _dispatch(self) -> None:
         if self._current is not None or not self._run_queue:
             return
-        work = self._run_queue.popleft()
+        queue = self._run_queue
+        work = queue.popleft()
         self._current = work
         quantum = self.quantum_ns
-        if self._run_queue or work.remaining < 2 * quantum:
+        # Rotation positions: 0 is ``work``, 1..n-1 the queue in order;
+        # position i runs the slices ending at boundaries i + 1 + j * n.
+        # ``stop`` is the first irregular boundary: where a task with f
+        # full quanta completes (remainder 0) or starts its short last
+        # slice (remainder > 0).  Position i's candidate is at least i.
+        n = len(queue) + 1
+        full, rest = divmod(work.remaining, quantum)
+        stop = full * n if rest else (full - 1) * n + 1
+        for position, task in enumerate(queue, 1):
+            if position >= stop:
+                break
+            full, rest = divmod(task.remaining, quantum)
+            candidate = (
+                full * n + position if rest else (full - 1) * n + position + 1
+            )
+            if candidate < stop:
+                stop = candidate
+        if stop < 2:
             slice_ns = min(quantum, work.remaining)
             self.sim.schedule(slice_ns, self._on_slice_end, work, slice_ns)
             return
-        # Solo run: one call, keyed like the per-slice chain's first
-        # slice end, that ends at the last quantum boundary of the work
-        # and charges every quantum up to it.
-        run_ns = work.remaining - work.remaining % quantum
+        # Steady run: one call, keyed like the per-slice chain's first
+        # slice end, advanced in the heap up to boundary ``stop``.
         now = self.sim.now
-        call = self.sim.schedule(quantum, self._on_slice_end, work, run_ns)
+        call = self.sim.schedule(quantum, self._on_steady_end)
         call.stride = quantum
-        call.stride_end = now + run_ns
-        self._solo = call
-        self._solo_start = now
+        call.stride_end = now + stop * quantum
+        self._steady = call
+        self._steady_start = now
 
-    def _solo_done_ns(self) -> int:
-        """CPU-ns of the solo run's quanta that ended before its pending
-        slice end (0 when not running solo)."""
-        call = self._solo
+    def _steady_passed(self) -> int:
+        """Boundaries the steady run passed before its pending slice end
+        (0 when no steady run is in progress)."""
+        call = self._steady
         if call is None:
             return 0
-        return call.time - self._solo_start - self.quantum_ns
+        return (call.time - self._steady_start) // self.quantum_ns - 1
 
-    def _end_solo(self, call: _ScheduledCall) -> None:
-        """Turn the solo run's pending ``call`` back into an ordinary slice
-        end at its current key, crediting the quanta finished before it."""
-        work = call.args[0]
-        done_ns = self._solo_done_ns()
-        self._solo = None
-        call.stride = 0
-        call.args = (work, self.quantum_ns)
-        if done_ns:
-            self._busy_ns += done_ns
-            self._busy_by_label[work.label] = (
-                self._busy_by_label.get(work.label, 0) + done_ns
-            )
-            work.remaining -= done_ns
+    def _steady_turns(self, passed: int) -> List[Tuple[CpuWork, int]]:
+        """``(task, CPU-ns)`` for each rotation position that ran within
+        the first ``passed`` boundaries, in rotation order (the order of
+        their first charge): position i had ``ceil((passed - i) / n)``
+        full quanta."""
+        if passed <= 0:
+            return []
+        quantum = self.quantum_ns
+        n = len(self._run_queue) + 1
+        turns = [(self._current, (passed + n - 1) // n * quantum)]
+        for position, task in enumerate(self._run_queue, 1):
+            if position >= passed:
+                break
+            turns.append((task, (passed - position + n - 1) // n * quantum))
+        return turns
+
+    def _settle_steady(self) -> None:
+        """End the steady run: charge the boundaries passed before its
+        pending slice end and rotate so the task running that slice is
+        current and the queue follows it in ring order."""
+        passed = self._steady_passed()
+        self._steady = None
+        if passed <= 0:
+            return
+        busy_by_label = self._busy_by_label
+        for task, ns in self._steady_turns(passed):
+            busy_by_label[task.label] = busy_by_label.get(task.label, 0) + ns
+            task.remaining -= ns
+        self._busy_ns += passed * self.quantum_ns
+        queue = self._run_queue
+        shift = passed % (len(queue) + 1)
+        if shift:
+            queue.appendleft(self._current)
+            queue.rotate(-shift)
+            self._current = queue.popleft()
+
+    def _on_steady_end(self) -> None:
+        self._settle_steady()
+        self._on_slice_end(self._current, self.quantum_ns)
 
     def _on_slice_end(self, work: CpuWork, slice_ns: int) -> None:
-        self._solo = None
         self._busy_ns += slice_ns
         self._busy_by_label[work.label] = (
             self._busy_by_label.get(work.label, 0) + slice_ns
@@ -193,7 +246,7 @@ class CpuCore:
     @property
     def busy_ns(self) -> int:
         """Total CPU-nanoseconds executed on this core (completed slices)."""
-        return self._busy_ns + self._solo_done_ns()
+        return self._busy_ns + self._steady_passed() * self.quantum_ns
 
     def busy_ns_for(self, label: str) -> int:
         """CPU-nanoseconds charged to an exact accounting label."""
@@ -208,10 +261,8 @@ class CpuCore:
     def accounting(self) -> Dict[str, int]:
         """A copy of the per-label CPU-time table (label → ns)."""
         table = dict(self._busy_by_label)
-        done_ns = self._solo_done_ns()
-        if done_ns:
-            label = self._current.label  # type: ignore[union-attr]
-            table[label] = table.get(label, 0) + done_ns
+        for task, ns in self._steady_turns(self._steady_passed()):
+            table[task.label] = table.get(task.label, 0) + ns
         return table
 
     def utilization(self, since_ns: int = 0) -> float:

@@ -207,9 +207,11 @@ class _ScheduledCall:
     ``time + k * stride`` (k >= 1) at or after the next pending time
     (capped at ``stride_end``) instead of running it, executing no
     callback and no probe.  The callback runs once, at ``stride_end``
-    or after the scheduler clears ``stride``.  This is only sound when
-    running the callback at the skipped boundaries would have done
-    nothing but schedule itself again one stride later.
+    or after the scheduler clears ``stride``; when it clears the stride
+    the scheduler may also replace ``callback`` and ``args``, and the
+    entry then runs the new callback at its unchanged key.  This is
+    only sound when running the callback at the skipped boundaries
+    would have done nothing but schedule itself again one stride later.
     """
 
     __slots__ = ("time", "callback", "args", "cancelled", "stride", "stride_end")
@@ -301,6 +303,7 @@ class Simulator:
         takes one fresh ``seq``, exactly as if its callback had run at
         the last skipped boundary and scheduled itself again: nothing
         else runs in the skipped gap, so no other ``seq`` is taken there.
+        ``run()`` carries an inline copy of this move; change both.
         """
         queue = self._queue
         end = call.stride_end
@@ -363,6 +366,7 @@ class Simulator:
         # run — are still picked up).
         queue = self._queue
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         probes = self._probes
         try:
             while queue:
@@ -372,8 +376,31 @@ class Simulator:
                     continue
                 if until is not None and time > until:
                     break
-                if call.stride and time < call.stride_end:
-                    self._advance_head(time, call, until)
+                stride = call.stride
+                if stride and time < call.stride_end:
+                    # _advance_head inlined (keep the two in step): with
+                    # lockstep vCPUs a strided entry moves about once per
+                    # quantum, so the method call is a visible cost.
+                    end = call.stride_end
+                    size = len(queue)
+                    if size > 2:
+                        limit = queue[1][0]
+                        if queue[2][0] < limit:
+                            limit = queue[2][0]
+                    elif size == 2:
+                        limit = queue[1][0]
+                    else:
+                        limit = end
+                    if until is not None and until < limit:
+                        limit = until + 1
+                    target = time + stride
+                    if limit > target:
+                        target += (limit - target + stride - 1) // stride * stride
+                    if target > end:
+                        target = end
+                    call.time = target
+                    heapreplace(queue, (target, self._seq, call))
+                    self._seq += 1
                     continue
                 heappop(queue)
                 self._now = time

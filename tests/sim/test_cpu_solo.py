@@ -1,8 +1,10 @@
-"""Differential tests: solo-run ``CpuCore`` against a per-slice reference.
+"""Differential tests: steady-run ``CpuCore`` against a per-slice reference.
 
-``CpuCore`` lets the simulator advance an uncontended task's slice end
-inside its heap, one quantum per boundary, without running a callback
-(a *solo run*), and credits the skipped quanta arithmetically.
+Between a dispatch and the first boundary where a task completes or
+starts a short last slice, ``CpuCore`` lets the simulator advance the
+rotation's slice end inside its heap, one quantum per boundary, without
+running a callback (a *steady run*), and credits the skipped quanta
+arithmetically.  An uncontended task is the one-task rotation.
 :class:`PerSliceCore` below is the plain round-robin core it must be
 indistinguishable from: one slice-end callback per quantum.  Both run
 the same generated scenario on their own simulator; every done-event
@@ -12,8 +14,11 @@ every scheduled accounting read must match exactly.
 Submits and reads are millisecond-aligned, and all cores share one
 quantum, so several cores run in lockstep on the same quantum grid and
 many events land exactly on boundaries.  Same-timestamp order there is
-decided by the heap's sequence numbers, which is what the solo run must
-preserve.
+decided by the heap's sequence numbers, which is what a steady run must
+preserve.  The contended scenarios put 3-5 tasks on a core at once,
+with work sizes whose remainder is 0, 1 ns, half a quantum or a quantum
+less 1 ns, and tasks that re-submit themselves from their done event
+(the memhog pattern of the Figure 5 runs).
 """
 
 from collections import deque
@@ -133,14 +138,23 @@ class Harness:
         )
 
     def submit(self, tag: str, core: int, work_ns: int, label: str,
-               then: Optional[tuple] = None) -> None:
+               then: tuple = ()) -> None:
+        """Submit, and on completion submit ``then[0]`` (a ``(core,
+        work_ns, label)`` triple) with the rest of ``then`` to follow."""
         done = self.cores[core].submit(work_ns, label)
         done.add_callback(lambda _value: self._on_done(tag, then))
 
-    def _on_done(self, tag: str, then: Optional[tuple]) -> None:
+    def batch(self, tag: str, core: int, tasks: list) -> None:
+        """Submit ``(work_ns, label, repeats)`` tasks to one core at once;
+        each re-submits itself ``repeats`` times from its done event."""
+        for index, (work, label, repeats) in enumerate(tasks):
+            self.submit(f"{tag}.{index}", core, work, label,
+                        ((core, work, label),) * repeats)
+
+    def _on_done(self, tag: str, then: tuple) -> None:
         self.log.append(("done", self.sim.now, tag, self.snapshot()))
-        if then is not None:
-            self.submit(tag + "+", *then)
+        if then:
+            self.submit(tag + "+", *then[0], then[1:])
 
     def read(self, tag: str) -> None:
         self.log.append(("read", self.sim.now, tag, self.snapshot()))
@@ -153,6 +167,8 @@ class Harness:
             tag = f"{kind}{index}"
             if kind == "submit":
                 fn, fn_args = self.submit, (tag,) + args
+            elif kind == "batch":
+                fn, fn_args = self.batch, (tag,) + args
             else:
                 fn, fn_args = self.read, (tag,)
             at = at_ms * MS
@@ -177,13 +193,41 @@ lead = st.one_of(st.none(), st.integers(0, 3))
 def scenarios(draw):
     n_cores = draw(st.integers(2, 3))
     core = st.integers(0, n_cores - 1)
-    follow = st.one_of(st.none(), st.tuples(core, work_ns, label))
+    follow = st.one_of(st.just(()), st.tuples(st.tuples(core, work_ns, label)))
     submit = st.tuples(
         st.just("submit"), st.integers(0, 30), lead,
         st.tuples(core, work_ns, label, follow),
     )
     read = st.tuples(st.just("read"), st.integers(0, 40), lead, st.just(()))
     ops = draw(st.lists(st.one_of(submit, submit, read), min_size=1, max_size=14))
+    return n_cores, ops
+
+
+remainder = st.sampled_from([0, 1, QUANTUM // 2, QUANTUM - 1])
+contended_work = st.builds(
+    lambda quanta, extra: quanta * QUANTUM + extra, st.integers(0, 6), remainder
+).filter(bool)
+
+
+@st.composite
+def contended_scenarios(draw):
+    """3-5 tasks per batch on one core, some re-submitting on completion,
+    plus single submits and reads that may land mid-rotation on a
+    boundary, before or after its slice end (``lead``)."""
+    n_cores = draw(st.integers(2, 3))
+    core = st.integers(0, n_cores - 1)
+    task = st.tuples(contended_work, label, st.integers(0, 3))
+    batch = st.tuples(
+        st.just("batch"), st.integers(0, 12), lead,
+        st.tuples(core, st.lists(task, min_size=3, max_size=5)),
+    )
+    submit = st.tuples(
+        st.just("submit"), st.integers(0, 40), lead,
+        st.tuples(core, contended_work, label, st.just(())),
+    )
+    read = st.tuples(st.just("read"), st.integers(0, 60), lead, st.just(()))
+    ops = draw(st.lists(st.one_of(batch, batch, submit, read),
+                        min_size=1, max_size=8))
     return n_cores, ops
 
 
@@ -194,14 +238,24 @@ def build(core_cls, scenario) -> Harness:
     return harness
 
 
+def check_run(scenario) -> None:
+    ref, steady = build(PerSliceCore, scenario), build(CpuCore, scenario)
+    assert steady.sim.run() == ref.sim.run()
+    assert steady.log == ref.log
+    assert steady.snapshot() == ref.snapshot()
+    assert steady.callbacks <= ref.callbacks
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenario=scenarios())
 def test_run_matches_per_slice_reference(scenario):
-    ref, solo = build(PerSliceCore, scenario), build(CpuCore, scenario)
-    assert solo.sim.run() == ref.sim.run()
-    assert solo.log == ref.log
-    assert solo.snapshot() == ref.snapshot()
-    assert solo.callbacks <= ref.callbacks
+    check_run(scenario)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=contended_scenarios())
+def test_contended_run_matches_per_slice_reference(scenario):
+    check_run(scenario)
 
 
 stops = st.lists(
@@ -214,42 +268,62 @@ stops = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(scenario=scenarios(), stops=stops)
-def test_run_until_then_submit_matches_reference(scenario, stops):
-    ref, solo = build(PerSliceCore, scenario), build(CpuCore, scenario)
+def check_run_until_then_submit(scenario, stops) -> None:
+    ref, steady = build(PerSliceCore, scenario), build(CpuCore, scenario)
     stops = sorted(stops, key=lambda stop: (stop[0], not stop[1]))
     for index, (stop_ms, early, direct) in enumerate(stops):
         until = stop_ms * MS - early
-        for harness in (ref, solo):
+        for harness in (ref, steady):
             harness.sim.run(until=until)
             harness.read(f"stop{index}")
             if direct is not None:
                 harness.submit(f"direct{index}", *direct)
-        assert solo.log == ref.log
+        assert steady.log == ref.log
     ref.sim.run()
-    solo.sim.run()
-    assert solo.log == ref.log
-    assert solo.snapshot() == ref.snapshot()
+    steady.sim.run()
+    assert steady.log == ref.log
+    assert steady.snapshot() == ref.snapshot()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios(), stops=stops)
+def test_run_until_then_submit_matches_reference(scenario, stops):
+    check_run_until_then_submit(scenario, stops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=contended_scenarios(), stops=stops)
+def test_contended_run_until_then_submit_matches_reference(scenario, stops):
+    check_run_until_then_submit(scenario, stops)
+
+
+def check_step_driven_run(scenario) -> None:
+    """Each ``step()`` of the steady-run core executes one callback;
+    whenever one logs something, the reference stepped to the same log
+    entry has the same accounting."""
+    ref, steady = build(PerSliceCore, scenario), build(CpuCore, scenario)
+    while steady.sim.step():
+        if len(steady.log) > len(ref.log):
+            while len(ref.log) < len(steady.log):
+                assert ref.sim.step()
+            assert steady.sim.now == ref.sim.now
+            assert steady.snapshot() == ref.snapshot()
+    while ref.sim.step():
+        pass
+    assert steady.log == ref.log
+    assert steady.snapshot() == ref.snapshot()
 
 
 @settings(max_examples=100, deadline=None)
 @given(scenario=scenarios())
 def test_step_driven_run_matches_reference(scenario):
-    """Each ``step()`` of the solo core executes one callback; whenever
-    one logs something, the reference stepped to the same log entry has
-    the same accounting."""
-    ref, solo = build(PerSliceCore, scenario), build(CpuCore, scenario)
-    while solo.sim.step():
-        if len(solo.log) > len(ref.log):
-            while len(ref.log) < len(solo.log):
-                assert ref.sim.step()
-            assert solo.sim.now == ref.sim.now
-            assert solo.snapshot() == ref.snapshot()
-    while ref.sim.step():
-        pass
-    assert solo.log == ref.log
-    assert solo.snapshot() == ref.snapshot()
+    check_step_driven_run(scenario)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=contended_scenarios())
+def test_contended_step_driven_run_matches_reference(scenario):
+    check_step_driven_run(scenario)
 
 
 def lockstep_split(core_cls, lead: Optional[int]) -> Harness:
@@ -259,9 +333,9 @@ def lockstep_split(core_cls, lead: Optional[int]) -> Harness:
     split kept (a split taking a fresh one would put core 1 first)."""
     harness = Harness(core_cls, 2)
     harness.install([
-        ("submit", 0, None, (0, 20 * MS, "fn:a", None)),
-        ("submit", 0, None, (1, 22 * MS, "fn:b", None)),
-        ("submit", 6, lead, (0, 2 * MS, "virtio-mem", None)),
+        ("submit", 0, None, (0, 20 * MS, "fn:a")),
+        ("submit", 0, None, (1, 22 * MS, "fn:b")),
+        ("submit", 6, lead, (0, 2 * MS, "virtio-mem")),
         ("read", 6, lead, ()),
         ("read", 22, None, ()),
     ])
@@ -274,11 +348,11 @@ def test_lockstep_split_keeps_same_timestamp_order():
     # relayed from 4 ms) and runs next, or after it (relayed at 6 ms)
     # and waits one quantum.
     for lead, short_done_ms in ((None, 8), (2, 8), (0, 10)):
-        ref, solo = lockstep_split(PerSliceCore, lead), lockstep_split(CpuCore, lead)
-        assert solo.log == ref.log
-        fired = [(time // MS, tag) for kind, time, tag, _ in solo.log if kind == "done"]
+        ref, steady = lockstep_split(PerSliceCore, lead), lockstep_split(CpuCore, lead)
+        assert steady.log == ref.log
+        fired = [(time // MS, tag) for kind, time, tag, _ in steady.log if kind == "done"]
         assert fired == [(short_done_ms, "submit2"), (22, "submit0"), (22, "submit1")]
-        assert solo.callbacks < ref.callbacks
+        assert steady.callbacks < ref.callbacks
 
 
 def test_lone_task_skips_its_slice_end_callbacks():
@@ -296,3 +370,31 @@ def test_lone_task_skips_its_slice_end_callbacks():
     # ordinary slice.
     assert executed == [20 * MS, 21 * MS]
     assert core.busy_ns == 21 * MS
+
+
+def memhogs(core_cls) -> Harness:
+    """Three 10 ms tasks on one core, each re-submitting itself five
+    times on completion; a 5 ms task joins mid-rotation, between
+    boundaries, and reads land on and between boundaries."""
+    harness = Harness(core_cls, 1)
+    harness.install([
+        ("batch", 0, None, (0, [(10 * MS, label, 5) for label in LABELS])),
+        ("read", 17, None, ()),
+        ("read", 26, 1, ()),
+        ("read", 26, None, ()),
+        ("submit", 41, None, (0, 5 * MS, "fn:b")),
+        ("read", 41, None, ()),
+    ])
+    harness.sim.run()
+    return harness
+
+
+def test_memhog_rotation_skips_its_slice_end_callbacks():
+    ref, steady = memhogs(PerSliceCore), memhogs(CpuCore)
+    assert steady.log == ref.log
+    done = [entry for entry in steady.log if entry[0] == "done"]
+    assert len(done) == 19 and done[-1][1] == 185 * MS
+    # A rotation of three fresh 5-quantum tasks runs its first 13
+    # boundaries as one steady run; only the completions, the joining
+    # task's last slices and the scheduled ops execute callbacks.
+    assert 3 * steady.callbacks <= ref.callbacks
