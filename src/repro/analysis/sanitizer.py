@@ -248,8 +248,9 @@ class MemSanitizer:
         ``every_n_sim_events`` overrides the config value when positive.
         Only executed callbacks count: the regular slice boundaries of
         a steady CPU run (one task alone, or a contended round-robin
-        rotation) are advanced without one, so such a run checkpoints
-        less often per simulated second.
+        rotation) are advanced without one, and a memhog's spin periods
+        run none either, so a memhog-loaded run checkpoints far less
+        often per simulated second.
         """
         if self._bound_sim is not None:
             raise RuntimeError("sanitizer is already bound to a simulator")

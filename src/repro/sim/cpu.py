@@ -27,6 +27,11 @@ __all__ = ["CpuCore", "CpuWork"]
 #: Default scheduling quantum (2 ms, in the ballpark of CFS slices).
 DEFAULT_QUANTUM_NS = 2 * MS
 
+#: An open-ended spin's ``remaining``, in periods: large enough never to
+#: run out, and a multiple of the period, so the dispatch arithmetic
+#: needs no special case.
+_SPIN_PERIODS = 1 << 40
+
 
 class CpuWork:
     """A unit of work queued on a core.
@@ -39,9 +44,14 @@ class CpuWork:
         CPU-nanoseconds still to execute.
     done:
         Event triggered (with this object) when the work completes.
+    period:
+        For an open-ended spin (:meth:`CpuCore.spin`), its period until
+        :meth:`CpuCore.end_spin`; 0 for ordinary work.
     """
 
-    __slots__ = ("label", "remaining", "done", "submitted_at", "completed_at")
+    __slots__ = (
+        "label", "remaining", "done", "submitted_at", "completed_at", "period",
+    )
 
     def __init__(self, label: str, work_ns: int, done: Event, submitted_at: int):
         self.label = label
@@ -49,6 +59,7 @@ class CpuWork:
         self.done = done
         self.submitted_at = submitted_at
         self.completed_at: Optional[int] = None
+        self.period = 0
 
 
 class CpuCore:
@@ -67,9 +78,12 @@ class CpuCore:
     is inline-advanced by the simulator one quantum at a time
     (``stride``) up to that boundary, so the regular slice ends in
     between cost no callback.  The passed quanta are credited
-    arithmetically, by accounting reads and by a ``submit`` or the
-    final callback that ends the run.  Timing, accounting and event
-    order are exactly those of one slice-end callback per quantum.
+    arithmetically, by accounting reads, and by the ``submit``,
+    ``spin``, ``end_spin`` or final callback that ends the run.  Timing,
+    accounting and event order are exactly those of one slice-end
+    callback per quantum.  A :meth:`spin` is one task that never
+    completes until :meth:`end_spin`, so a busy loop does not end a
+    steady run once per period.
     """
 
     def __init__(
@@ -108,20 +122,65 @@ class CpuCore:
         if work_ns == 0:
             done.trigger(None)
             return done
-        work = CpuWork(label, work_ns, done, self.sim.now)
-        call = self._steady
-        if call is not None:
-            # The rotation must reach its current state before the
-            # newcomer joins its tail; the pending entry then ends the
-            # current task's slice at its exact key.
-            self._settle_steady()
-            call.stride = 0
-            call.callback = self._on_slice_end
-            call.args = (self._current, self.quantum_ns)
+        return self._enqueue(CpuWork(label, work_ns, done, self.sim.now)).done
+
+    def spin(self, period_ns: int, label: str = "") -> CpuWork:
+        """Queue an open-ended busy loop charged to ``label``.
+
+        The spin runs in the rotation like work that never completes:
+        exactly as if a ``period_ns`` task re-submitted itself from its
+        done event, forever.  :meth:`end_spin` lets it finish the period
+        in progress; its ``done`` event fires then.  ``period_ns`` must
+        be a positive multiple of the quantum.
+        """
+        if period_ns <= 0 or period_ns % self.quantum_ns:
+            raise SimulationError(
+                f"spin period {period_ns} is not a positive multiple of "
+                f"the {self.quantum_ns} ns quantum"
+            )
+        work = CpuWork(label, period_ns * _SPIN_PERIODS, self.sim.event(),
+                       self.sim.now)
+        work.period = period_ns
+        return self._enqueue(work)
+
+    def end_spin(self, work: CpuWork) -> None:
+        """Let a :meth:`spin` complete at the end of its current period.
+
+        A period boundary at exactly the current time counts as passed
+        when its slice end has already run (the re-submitting loop would
+        then have started one more period).  Ending a spin twice is a
+        no-op.
+        """
+        period = work.period
+        if not period:
+            return
+        work.period = 0
+        if self._steady is not None:
+            self._break_steady()
+        # What is left of the current period: ``period - consumed %
+        # period``, as ``remaining`` started at a multiple of the period.
+        work.remaining = (work.remaining - 1) % period + 1
+
+    def _enqueue(self, work: CpuWork) -> CpuWork:
+        # The rotation must reach its current state before the newcomer
+        # joins its tail: appending first would count it in the settled
+        # boundaries.
+        if self._steady is not None:
+            self._break_steady()
         self._run_queue.append(work)
         if self._current is None:
             self._dispatch()
-        return work.done
+        return work
+
+    def _break_steady(self) -> None:
+        """Settle the steady run in progress and turn its pending entry
+        into an ordinary slice end of the now-current task, at its exact
+        key, so the next dispatch sees the rotation as it is now."""
+        call = self._steady
+        self._settle_steady()
+        call.stride = 0
+        call.callback = self._on_slice_end
+        call.args = (self._current, self.quantum_ns)
 
     def run(self, work_ns: int, label: str = ""):
         """Generator helper: ``yield from core.run(...)`` inside a process."""

@@ -212,6 +212,8 @@ class _ScheduledCall:
     entry then runs the new callback at its unchanged key.  This is
     only sound when running the callback at the skipped boundaries
     would have done nothing but schedule itself again one stride later.
+    The engine may move several strided calls in one batch, to exactly
+    where these single moves would take them.
     """
 
     __slots__ = ("time", "callback", "args", "cancelled", "stride", "stride_end")
@@ -325,6 +327,76 @@ class Simulator:
         heapq.heapreplace(queue, (target, self._seq, call))
         self._seq += 1
 
+    def _advance_batch(self, until: Optional[int]) -> None:
+        """Move every strided entry ahead of the first key ``K`` that
+        would run a callback, in one go, to where head-by-head moves
+        (:meth:`_advance_head`) would leave it.
+
+        ``K`` is the earliest of the first entry that is not movable
+        (unstrided, or at its ``stride_end``), ``until + 1``, and the
+        ``stride_end`` of an entry moved here, which lands there.  Each
+        entry lands on its first boundary ``time + k * stride`` (k >= 1)
+        at or after ``K``, capped at its ``stride_end``.  Head by head,
+        an entry only ever moves up to the next pending time, so
+        same-phase entries meet and then leapfrog in a fixed order: one
+        that was on a later boundary is ahead (the earlier one landed on
+        its boundary with a fresh ``seq``), and one on the same boundary
+        keeps its ``seq`` order.  Fresh ``seq``s therefore go by landing
+        time, then *descending* original time, then original ``seq``.
+        Cancelled entries on the way are dropped.  Entries of a
+        different stride fall back to one head move.
+
+        ``run()`` calls this instead of a head move when the head has
+        already moved since the last executed callback (its ``seq`` is
+        at or above the counter's value then): lockstep entries then
+        leapfrog one boundary per head move, while an entry alone on its
+        boundaries moves once or twice per gap anyway.  ``step()`` moves
+        one head at a time.
+        """
+        queue = self._queue
+        heappop = heapq.heappop
+        head = queue[0][2]
+        stride = head.stride
+        bound = head.stride_end
+        movers = []
+        while queue:
+            entry = queue[0]
+            time, _, call = entry
+            if call.cancelled:
+                heappop(queue)
+                continue
+            if (not call.stride or time >= call.stride_end or time > bound
+                    or (until is not None and time > until)):
+                if time < bound:
+                    bound = time
+                break
+            if call.stride != stride:
+                for mover in movers:
+                    heapq.heappush(queue, mover)
+                self._advance_head(queue[0][0], queue[0][2], until)
+                return
+            heappop(queue)
+            movers.append(entry)
+            if call.stride_end < bound:
+                bound = call.stride_end
+        if until is not None and until < bound:
+            bound = until + 1
+        landed = []
+        for time, seq, call in movers:
+            target = time + stride
+            if bound > target:
+                target += (bound - target + stride - 1) // stride * stride
+            if target > call.stride_end:
+                target = call.stride_end
+            call.time = target
+            landed.append((target, -time, seq, call))
+        landed.sort()
+        seq = self._seq
+        for target, _, _, call in landed:
+            heapq.heappush(queue, (target, seq, call))
+            seq += 1
+        self._seq = seq
+
     def step(self) -> bool:
         """Run the next pending callback; return ``False`` if none is left.
 
@@ -368,9 +440,10 @@ class Simulator:
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
         probes = self._probes
+        gap_seq = self._seq
         try:
             while queue:
-                time, _, call = queue[0]
+                time, seq, call = queue[0]
                 if call.cancelled:
                     heappop(queue)
                     continue
@@ -378,9 +451,12 @@ class Simulator:
                     break
                 stride = call.stride
                 if stride and time < call.stride_end:
-                    # _advance_head inlined (keep the two in step): with
-                    # lockstep vCPUs a strided entry moves about once per
-                    # quantum, so the method call is a visible cost.
+                    if seq >= gap_seq:
+                        self._advance_batch(until)
+                        continue
+                    # _advance_head inlined (keep the two in step): a
+                    # strided entry moves once or twice per gap, so the
+                    # method call is a visible cost.
                     end = call.stride_end
                     size = len(queue)
                     if size > 2:
@@ -405,6 +481,7 @@ class Simulator:
                 heappop(queue)
                 self._now = time
                 call.callback(*call.args)
+                gap_seq = self._seq
                 if probes:
                     for probe in probes:
                         probe()

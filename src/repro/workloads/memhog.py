@@ -13,15 +13,18 @@ from typing import Optional
 
 from repro.errors import OutOfMemory
 from repro.mm.mm_struct import MmStruct
-from repro.sim.cpu import CpuCore
+from repro.sim.cpu import CpuCore, CpuWork
 from repro.sim.engine import Process
 from repro.units import MS, bytes_to_pages
 from repro.vmm.vm import VirtualMachine
 
 __all__ = ["Memhog"]
 
-#: CPU burned per spin iteration while resident (10 ms keeps the vCPU
-#: saturated without flooding the event queue).
+#: CPU burned per spin iteration while resident.  Without churn the
+#: loop is one open-ended :meth:`CpuCore.spin` with this period, which
+#: costs no event per iteration; it sets when a stopped memhog exits
+#: (at the end of the period in progress).  With churn each iteration
+#: is a separate submit followed by the mm work.
 SPIN_SLICE_NS = 10 * MS
 
 
@@ -64,6 +67,8 @@ class Memhog:
         self.mm: Optional[MmStruct] = None
         self._stop_requested = False
         self._process: Optional[Process] = None
+        #: The busy loop of a churn-free memhog while it runs.
+        self._spin: Optional[CpuWork] = None
         self.resident = False
         #: Triggered once the initial footprint is fully faulted in.
         self.ready = vm.sim.event()
@@ -79,8 +84,13 @@ class Memhog:
         return self._process
 
     def stop(self) -> None:
-        """Ask the process to exit (memory is freed on its next loop)."""
+        """Ask the process to exit (memory is freed once the loop
+        iteration in progress ends).  Stopping twice is a no-op."""
+        if self._stop_requested:
+            return
         self._stop_requested = True
+        if self._spin is not None:
+            self.vcpu.end_spin(self._spin)
 
     @property
     def stopped(self) -> bool:
@@ -91,32 +101,39 @@ class Memhog:
     # The process body
     # ------------------------------------------------------------------
     def _run(self):
+        label = f"memhog:{self.name}"
         self.mm = self.vm.new_process(self.name)
         if self.use_hotmem:
             assert self.vm.hotmem is not None, "HotMem VM required"
             yield from self.vm.hotmem.attach(self.mm)
         # Fault the whole footprint in (lazy allocation, charged to our vCPU).
         charge = self.vm.fault_handler.fault_anon(self.mm, self.size_pages)
-        yield self.vcpu.submit(charge.cost_ns, f"memhog:{self.name}")
+        yield self.vcpu.submit(charge.cost_ns, label)
         self.resident = True
         self.ready.trigger(self)
 
         churn_pages = int(self.size_pages * self.churn_fraction)
-        while not self._stop_requested:
-            # memhog's busy loop: stress the CPU ...
-            yield self.vcpu.submit(SPIN_SLICE_NS, f"memhog:{self.name}")
-            # ... and optionally cycle part of the allocation.
-            if churn_pages and not self._stop_requested:
-                self.vm.manager.free_pages(self.mm, churn_pages)
-                try:
-                    charge = self.vm.fault_handler.fault_anon(self.mm, churn_pages)
-                except OutOfMemory:
-                    break
-                yield self.vcpu.submit(charge.cost_ns, f"memhog:{self.name}")
+        if churn_pages:
+            while not self._stop_requested:
+                # memhog's busy loop: stress the CPU ...
+                yield self.vcpu.submit(SPIN_SLICE_NS, label)
+                # ... and cycle part of the allocation.
+                if not self._stop_requested:
+                    self.vm.manager.free_pages(self.mm, churn_pages)
+                    try:
+                        charge = self.vm.fault_handler.fault_anon(
+                            self.mm, churn_pages)
+                    except OutOfMemory:
+                        break
+                    yield self.vcpu.submit(charge.cost_ns, label)
+        elif not self._stop_requested:
+            # The busy loop alone: one spin, which stop() ends.
+            self._spin = self.vcpu.spin(SPIN_SLICE_NS, label)
+            yield self._spin.done
 
         self.resident = False
         exit_charge = self.vm.exit_process(self.mm)
-        yield self.vcpu.submit(exit_charge.cost_ns, f"memhog:{self.name}")
+        yield self.vcpu.submit(exit_charge.cost_ns, label)
         return self.mm
 
     # ------------------------------------------------------------------
