@@ -212,8 +212,8 @@ class _ScheduledCall:
     entry then runs the new callback at its unchanged key.  This is
     only sound when running the callback at the skipped boundaries
     would have done nothing but schedule itself again one stride later.
-    The engine may move several strided calls in one batch, to exactly
-    where these single moves would take them.
+    The engine moves every such call ahead of the next callback in one
+    batch, to exactly where these single moves would take them.
     """
 
     __slots__ = ("time", "callback", "args", "cancelled", "stride", "stride_end")
@@ -294,64 +294,37 @@ class Simulator:
         self.schedule(0, process._resume, None)
         return process
 
-    def _advance_head(self, time: int, call: _ScheduledCall,
-                      until: Optional[int]) -> None:
-        """Re-key the strided heap head ``call`` (now at ``time``) forward.
-
-        The target is its first boundary ``time + k * call.stride``
-        (k >= 1) at or after the next pending time, or ``until + 1`` if
-        that is earlier, capped at ``call.stride_end``.  The next pending
-        time is the smaller of the root's two heap children.  The entry
-        takes one fresh ``seq``, exactly as if its callback had run at
-        the last skipped boundary and scheduled itself again: nothing
-        else runs in the skipped gap, so no other ``seq`` is taken there.
-        ``run()`` carries an inline copy of this move; change both.
-        """
-        queue = self._queue
-        end = call.stride_end
-        if len(queue) > 2:
-            limit = min(queue[1][0], queue[2][0])
-        elif len(queue) == 2:
-            limit = queue[1][0]
-        else:
-            limit = end
-        if until is not None and until < limit:
-            limit = until + 1
-        stride = call.stride
-        target = time + stride
-        if limit > target:
-            target += (limit - target + stride - 1) // stride * stride
-        if target > end:
-            target = end
-        call.time = target
-        heapq.heapreplace(queue, (target, self._seq, call))
-        self._seq += 1
-
     def _advance_batch(self, until: Optional[int]) -> None:
-        """Move every strided entry ahead of the first key ``K`` that
-        would run a callback, in one go, to where head-by-head moves
-        (:meth:`_advance_head`) would leave it.
+        """Move the strided heap head, and every strided entry of the
+        same stride ahead of the first key ``K`` that would run a
+        callback, in one go, to where head-by-head moves would leave
+        them.
+
+        Head by head, the head is re-keyed to its first boundary
+        ``time + k * call.stride`` (k >= 1) at or after the next pending
+        time, or ``until + 1`` if that is earlier, capped at
+        ``call.stride_end``, with one fresh ``seq``: exactly as if its
+        callback had run at the last skipped boundary and scheduled
+        itself again (nothing else runs in the skipped gap, so no other
+        ``seq`` is taken there).  The batch reaches the same keys in
+        one pass.
 
         ``K`` is the earliest of the first entry that is not movable
-        (unstrided, or at its ``stride_end``), ``until + 1``, and the
-        ``stride_end`` of an entry moved here, which lands there.  Each
-        entry lands on its first boundary ``time + k * stride`` (k >= 1)
-        at or after ``K``, capped at its ``stride_end``.  Head by head,
-        an entry only ever moves up to the next pending time, so
-        same-phase entries meet and then leapfrog in a fixed order: one
-        that was on a later boundary is ahead (the earlier one landed on
-        its boundary with a fresh ``seq``), and one on the same boundary
-        keeps its ``seq`` order.  Fresh ``seq``s therefore go by landing
-        time, then *descending* original time, then original ``seq``.
-        Cancelled entries on the way are dropped.  Entries of a
-        different stride fall back to one head move.
-
-        ``run()`` calls this instead of a head move when the head has
-        already moved since the last executed callback (its ``seq`` is
-        at or above the counter's value then): lockstep entries then
-        leapfrog one boundary per head move, while an entry alone on its
-        boundaries moves once or twice per gap anyway.  ``step()`` moves
-        one head at a time.
+        here (unstrided, of another stride, or at its ``stride_end``),
+        ``until + 1``, and the ``stride_end`` of an entry moved here,
+        which lands there.  Each entry lands on its first boundary
+        ``time + k * stride`` (k >= 1) at or after ``K``, capped at its
+        ``stride_end``.  Head by head, an entry only ever moves up to
+        the next pending time, so same-phase entries meet and then
+        leapfrog in a fixed order: one that was on a later boundary is
+        ahead (the earlier one landed on its boundary with a fresh
+        ``seq``), and one on the same boundary keeps its ``seq`` order.
+        Fresh ``seq``s therefore go by landing time, then *descending*
+        original time, then original ``seq``.  Cancelled entries on the
+        way are dropped.  An entry of another stride is a barrier here
+        like an unstrided one: head by head, the movers ahead of it
+        cannot pass it before it is the head, and it then moves on its
+        own grid in a later call.
         """
         queue = self._queue
         heappop = heapq.heappop
@@ -365,16 +338,11 @@ class Simulator:
             if call.cancelled:
                 heappop(queue)
                 continue
-            if (not call.stride or time >= call.stride_end or time > bound
-                    or (until is not None and time > until)):
+            if (call.stride != stride or time >= call.stride_end
+                    or time > bound or (until is not None and time > until)):
                 if time < bound:
                     bound = time
                 break
-            if call.stride != stride:
-                for mover in movers:
-                    heapq.heappush(queue, mover)
-                self._advance_head(queue[0][0], queue[0][2], until)
-                return
             heappop(queue)
             movers.append(entry)
             if call.stride_end < bound:
@@ -410,7 +378,7 @@ class Simulator:
                 heapq.heappop(queue)
                 continue
             if call.stride and time < call.stride_end:
-                self._advance_head(time, call, None)
+                self._advance_batch(None)
                 continue
             heapq.heappop(queue)
             self._now = time
@@ -438,50 +406,21 @@ class Simulator:
         # run — are still picked up).
         queue = self._queue
         heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
         probes = self._probes
-        gap_seq = self._seq
         try:
             while queue:
-                time, seq, call = queue[0]
+                time, _, call = queue[0]
                 if call.cancelled:
                     heappop(queue)
                     continue
                 if until is not None and time > until:
                     break
-                stride = call.stride
-                if stride and time < call.stride_end:
-                    if seq >= gap_seq:
-                        self._advance_batch(until)
-                        continue
-                    # _advance_head inlined (keep the two in step): a
-                    # strided entry moves once or twice per gap, so the
-                    # method call is a visible cost.
-                    end = call.stride_end
-                    size = len(queue)
-                    if size > 2:
-                        limit = queue[1][0]
-                        if queue[2][0] < limit:
-                            limit = queue[2][0]
-                    elif size == 2:
-                        limit = queue[1][0]
-                    else:
-                        limit = end
-                    if until is not None and until < limit:
-                        limit = until + 1
-                    target = time + stride
-                    if limit > target:
-                        target += (limit - target + stride - 1) // stride * stride
-                    if target > end:
-                        target = end
-                    call.time = target
-                    heapreplace(queue, (target, self._seq, call))
-                    self._seq += 1
+                if call.stride and time < call.stride_end:
+                    self._advance_batch(until)
                     continue
                 heappop(queue)
                 self._now = time
                 call.callback(*call.args)
-                gap_seq = self._seq
                 if probes:
                     for probe in probes:
                         probe()

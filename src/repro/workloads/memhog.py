@@ -86,8 +86,6 @@ class Memhog:
     def stop(self) -> None:
         """Ask the process to exit (memory is freed once the loop
         iteration in progress ends).  Stopping twice is a no-op."""
-        if self._stop_requested:
-            return
         self._stop_requested = True
         if self._spin is not None:
             self.vcpu.end_spin(self._spin)

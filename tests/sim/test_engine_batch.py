@@ -1,8 +1,8 @@
 """Differential tests: the engine's batched strided advance against
 head-by-head moves.
 
-When a strided heap head has already moved since the last executed
-callback, :meth:`Simulator._advance_batch` moves every strided entry
+When the heap head is a movable strided entry,
+:meth:`Simulator._advance_batch` moves every strided entry of its stride
 ahead of the next key that would run a callback at once.
 :class:`PerMoveSimulator` below keeps the plain loop it replaces: one
 move of the head at a time, to its first boundary at or after the next
@@ -153,6 +153,16 @@ def test_batched_run_matches_per_move_reference(scenario, untils):
         assert batched.pending() == ref.pending()
     assert batched.sim.run() == ref.sim.run()
     assert batched.log == ref.log
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios)
+def test_stepping_matches_per_move_reference(scenario):
+    ref, stepped = build(PerMoveSimulator, scenario), build(Simulator, scenario)
+    ref.sim.run()
+    while stepped.sim.step():
+        pass
+    assert stepped.log == ref.log
 
 
 def test_staggered_same_phase_starts_keep_leapfrog_order():
