@@ -239,6 +239,31 @@ def _check_zone_free_counter(ctx: CheckContext) -> Iterator[Failure]:
 
 
 @invariant(
+    "zone-allocatable-index",
+    "each zone's kept allocatable index equals its non-isolated blocks "
+    "with free pages, ascending by block index",
+)
+def _check_zone_allocatable_index(ctx: CheckContext) -> Iterator[Failure]:
+    for zone in ctx.manager.zones.values():
+        computed = [b for b in zone.blocks if b.free_pages > 0 and not b.isolated]
+        kept = zone.allocatable_blocks
+        if kept == computed:
+            continue
+        missing = [b for b in computed if b not in kept]
+        stale = [b for b in kept if b not in computed]
+        if missing or stale:
+            detail = f"{len(missing)} missing, {len(stale)} stale"
+        else:
+            detail = "out of block order"
+        yield Failure(
+            "zone-allocatable-index",
+            f"zone {zone.name}: allocatable index of {len(kept)} blocks != "
+            f"{len(computed)} recomputed from blocks ({detail})",
+            tuple(missing + stale) or tuple(kept),
+        )
+
+
+@invariant(
     "block-state-legality",
     "zone membership, block state and back-references follow the "
     "hot(un)plug state machine",

@@ -19,7 +19,7 @@ under vanilla, or into a HotMem partition zone under HotMem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, HotplugError, MemoryError_, OfflineFailed, OutOfMemory
 from repro.mm.block import BlockState, MemoryBlock
@@ -127,6 +127,16 @@ class GuestMemoryManager:
             )
             for n in range(numa_nodes)
         ]
+        # The generic zones are fixed from here on, so each zonelist is
+        # built once: movable zones of every node first, then normals,
+        # each in node order — Linux prefers any movable memory over
+        # dipping into ZONE_NORMAL.
+        self._zonelists: Dict[Tuple[bool, int], List[Zone]] = {}
+        for node in range(numa_nodes):
+            order = [node] + [n for n in range(numa_nodes) if n != node]
+            normals = [self.normal_zones[n] for n in order]
+            self._zonelists[False, node] = normals
+            self._zonelists[True, node] = [self.movable_zones[n] for n in order] + normals
 
         # Online the boot blocks into each node's ZONE_NORMAL.
         for index, block in enumerate(self.blocks[: self.boot_blocks]):
@@ -186,27 +196,7 @@ class GuestMemoryManager:
         """
         if not 0 <= node < self.numa_nodes:
             raise ConfigError(f"invalid NUMA node {node}")
-        order = [node] + [n for n in range(self.numa_nodes) if n != node]
-        zones: List[Zone] = []
-        for n in order:
-            if movable:
-                zones.append(self.movable_zones[n])
-            zones.append(self.normal_zones[n])
-        if movable:
-            # Movable zones of every node first, then normals — Linux
-            # prefers any movable memory over dipping into ZONE_NORMAL.
-            zones.sort(
-                key=lambda z: (z.ztype is not ZoneType.MOVABLE, order.index(
-                    self._zone_node(z)
-                ))
-            )
-        return zones
-
-    def _zone_node(self, zone: Zone) -> int:
-        for n in range(self.numa_nodes):
-            if zone is self.normal_zones[n] or zone is self.movable_zones[n]:
-                return n
-        return 0
+        return list(self._zonelists[bool(movable), node])
 
     # ------------------------------------------------------------------
     # Allocation / free

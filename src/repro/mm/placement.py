@@ -13,14 +13,19 @@ placement policies:
   vanilla unplug (used as an ablation bound).
 * :class:`RandomPlacement` — uniformly random block per chunk.
 
-A policy *plans* an allocation over candidate blocks; the zone then applies
-the plan.  Plans are deterministic given the policy state and RNG stream.
+A policy *plans* an allocation over the zone's allocatable blocks; the zone
+then applies the plan.  The zone keeps that list itself (blocks with free
+pages that are neither isolated nor excluded, ascending by block index) and
+hands it over together with its free-page count, so planning costs
+O(blocks touched), not O(blocks in the zone).  Plans are deterministic
+given the policy state and RNG stream.
 """
 
 from __future__ import annotations
 
 import random  # Random is only referenced as a type; draws go through make_rng
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.sim.rng import make_rng
 
@@ -47,28 +52,17 @@ class PlacementPolicy:
     name = "abstract"
 
     def plan(
-        self,
-        blocks: List["MemoryBlock"],
-        pages: int,
-        exclude: Optional[Set["MemoryBlock"]] = None,
+        self, usable: List["MemoryBlock"], free: int, pages: int
     ) -> Optional[Dict["MemoryBlock", int]]:
-        """Distribute ``pages`` over ``blocks``.
+        """Distribute ``pages`` over the allocatable blocks ``usable``.
 
-        Returns a block → page-count map, or ``None`` if the non-excluded
-        blocks do not hold enough free pages.  Must not mutate the blocks.
+        ``usable`` is the zone's allocatable list in index order: every
+        block in it has free pages and may be charged.  ``free`` is the
+        sum of their free pages.  Returns a block → page-count map, or
+        ``None`` if ``free`` is below ``pages``.  Must mutate neither
+        the blocks nor ``usable``.
         """
         raise NotImplementedError
-
-    @staticmethod
-    def _usable(
-        blocks: Iterable["MemoryBlock"], exclude: Optional[Set["MemoryBlock"]]
-    ) -> List["MemoryBlock"]:
-        excluded = exclude or set()
-        return [
-            b
-            for b in blocks
-            if b.free_pages > 0 and not b.isolated and b not in excluded
-        ]
 
 
 class SequentialPlacement(PlacementPolicy):
@@ -76,18 +70,17 @@ class SequentialPlacement(PlacementPolicy):
 
     name = "sequential"
 
-    def plan(self, blocks, pages, exclude=None):
-        usable = self._usable(blocks, exclude)
+    def plan(self, usable, free, pages):
+        if free < pages:
+            return None
         plan: Dict["MemoryBlock", int] = {}
         remaining = pages
         for block in usable:
-            if remaining == 0:
-                break
             take = min(block.free_pages, remaining)
             plan[block] = take
             remaining -= take
-        if remaining > 0:
-            return None
+            if remaining == 0:
+                break
         return plan
 
 
@@ -97,6 +90,13 @@ class ScatterPlacement(PlacementPolicy):
     Models the steady-state interleaving produced by Linux free lists: the
     cursor persists across allocations, so consecutive allocations by
     different owners land on different blocks.
+
+    The plan is what a walk of one chunk per block visit would produce,
+    starting at ``cursor % len(usable)`` and leaving the cursor one past
+    the block that served the last page.  Round 0 is walked lazily (most
+    plans end inside it).  A plan that outlasts round 0 has given every
+    block one chunk; it then jumps to its last round ``R``, the largest
+    with ``sum(min(free_i, R * chunk)) < pages``, and walks only that one.
     """
 
     name = "scatter"
@@ -107,26 +107,61 @@ class ScatterPlacement(PlacementPolicy):
         self.chunk_pages = chunk_pages
         self._cursor = 0
 
-    def plan(self, blocks, pages, exclude=None):
-        usable = self._usable(blocks, exclude)
-        if not usable:
+    def plan(self, usable, free, pages):
+        if free < pages:
             return None
-        if sum(b.free_pages for b in usable) < pages:
-            return None
+        chunk = self.chunk_pages
+        count = len(usable)
+        start = self._cursor % count
         plan: Dict["MemoryBlock", int] = {}
-        remaining_free = {b: b.free_pages for b in usable}
         remaining = pages
-        index = self._cursor % len(usable)
-        while remaining > 0:
+        index = start
+        while True:  # round 0: every block has free pages, so each serves
             block = usable[index]
-            free = remaining_free[block]
-            if free > 0:
-                take = min(self.chunk_pages, free, remaining)
-                plan[block] = plan.get(block, 0) + take
-                remaining_free[block] = free - take
+            take = min(chunk, block.free_pages)
+            index += 1
+            if index == count:
+                index = 0
+            if take >= remaining:
+                plan[block] = remaining
+                self._cursor = index
+                return plan
+            plan[block] = take
+            remaining -= take
+            if index == start:
+                break
+        # Whole rounds.  After r rounds block i has served
+        # min(free_i, r * chunk) pages.  Between the points r = free_i /
+        # chunk where blocks run dry that total is linear in r, so take
+        # blocks in order of running dry and solve on the first stretch
+        # whose end reaches pages.
+        frees = sorted(b.free_pages for b in usable)
+        done = 0  # pages of the blocks already run dry
+        active = count
+        for block_free in frees:
+            if done + block_free * active >= pages:
+                break
+            done += block_free
+            active -= 1
+        rounds = (pages - done - 1) // (chunk * active)
+        cap = rounds * chunk
+        # After ``rounds`` rounds the blocks holding at most ``cap`` pages
+        # are dry and every other block has served ``cap``.
+        dry = bisect_right(frees, cap)
+        remaining = pages - sum(frees[:dry]) - cap * (count - dry)
+        last = 0
+        for offset, block in enumerate(plan):  # dict order: cursor order
+            block_free = block.free_pages
+            if block_free <= cap:
+                plan[block] = block_free
+            elif remaining:
+                take = min(chunk, block_free - cap, remaining)
+                plan[block] = cap + take
                 remaining -= take
-            index = (index + 1) % len(usable)
-        self._cursor = index
+                last = offset
+            else:
+                plan[block] = cap
+        self._cursor = (start + last + 1) % count
         return plan
 
 
@@ -143,23 +178,19 @@ class RandomPlacement(PlacementPolicy):
         self.rng = rng if rng is not None else make_rng(0, "placement/random")
         self.chunk_pages = chunk_pages
 
-    def plan(self, blocks, pages, exclude=None):
-        usable = self._usable(blocks, exclude)
-        if sum(b.free_pages for b in usable) < pages:
+    def plan(self, usable, free, pages):
+        if free < pages:
             return None
         plan: Dict["MemoryBlock", int] = {}
-        remaining_free = {b: b.free_pages for b in usable}
         candidates = list(usable)
         remaining = pages
         while remaining > 0:
             block = self.rng.choice(candidates)
-            free = remaining_free[block]
-            take = min(self.chunk_pages, free, remaining)
-            if take > 0:
-                plan[block] = plan.get(block, 0) + take
-                remaining_free[block] = free - take
-                remaining -= take
-            if remaining_free[block] == 0:
+            left = block.free_pages - plan.get(block, 0)
+            take = min(self.chunk_pages, left, remaining)
+            plan[block] = plan.get(block, 0) + take
+            remaining -= take
+            if take == left:
                 candidates.remove(block)
         return plan
 

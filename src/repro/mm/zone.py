@@ -11,7 +11,8 @@ function instance each.
 from __future__ import annotations
 
 import enum
-from bisect import insort
+from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
 from repro.errors import MemoryError_, OutOfMemory
@@ -21,6 +22,8 @@ from repro.mm.placement import PlacementPolicy, ScatterPlacement
 from repro.units import PAGES_PER_BLOCK, format_bytes, pages_to_bytes
 
 __all__ = ["ZoneType", "Zone"]
+
+_by_index = attrgetter("index")
 
 
 class ZoneType(enum.Enum):
@@ -35,7 +38,14 @@ class ZoneType(enum.Enum):
 
 
 class Zone:
-    """An ordered set of online memory blocks with one placement policy."""
+    """An ordered set of online memory blocks with one placement policy.
+
+    Besides its blocks, the zone keeps the *allocatable index*: the blocks
+    with free pages that are not isolated, ascending by block index.
+    Every membership, isolation, charge and release below keeps it
+    current, so an allocation hands the placement policy a ready list
+    instead of rescanning the zone.
+    """
 
     def __init__(
         self,
@@ -47,6 +57,7 @@ class Zone:
         self.ztype = ztype
         self.placement = placement or ScatterPlacement()
         self.blocks: List[MemoryBlock] = []
+        self._allocatable: List[MemoryBlock] = []
         self._free_pages = 0
 
     # ------------------------------------------------------------------
@@ -61,6 +72,12 @@ class Zone:
     def free_pages(self) -> int:
         """Free pages across all online blocks of the zone."""
         return self._free_pages
+
+    @property
+    def allocatable_blocks(self) -> List[MemoryBlock]:
+        """The allocatable index: non-isolated blocks with free pages,
+        ascending by block index (read-only; the zone maintains it)."""
+        return self._allocatable
 
     @property
     def total_pages(self) -> int:
@@ -96,7 +113,9 @@ class Zone:
         # The list stays sorted by block index; an insort is O(n) per
         # add instead of the O(n log n) re-sort this replaced (plug
         # loops add blocks one at a time).
-        insort(self.blocks, block, key=lambda b: b.index)
+        insort(self.blocks, block, key=_by_index)
+        if block.free_pages:
+            insort(self._allocatable, block, key=_by_index)
         self._free_pages += block.free_pages
 
     def detach_block(self, block: MemoryBlock) -> None:
@@ -109,6 +128,7 @@ class Zone:
             )
         self.blocks.remove(block)
         if not block.isolated:
+            self._unindex(block)
             self._free_pages -= block.free_pages
         block.isolated = False
         block.zone = None
@@ -123,6 +143,8 @@ class Zone:
         if block.isolated:
             raise MemoryError_(f"block {block.index} already isolated")
         block.isolated = True
+        if block.free_pages:
+            self._unindex(block)
         self._free_pages -= block.free_pages
 
     def unisolate_block(self, block: MemoryBlock) -> None:
@@ -130,7 +152,19 @@ class Zone:
         if block.zone is not self or not block.isolated:
             raise MemoryError_(f"block {block.index} is not isolated in {self.name}")
         block.isolated = False
+        if block.free_pages:
+            insort(self._allocatable, block, key=_by_index)
         self._free_pages += block.free_pages
+
+    def _unindex(self, block: MemoryBlock) -> None:
+        """Drop ``block`` from the allocatable index."""
+        index = self._allocatable
+        at = bisect_left(index, block.index, key=_by_index)
+        if at == len(index) or index[at] is not block:
+            raise MemoryError_(
+                f"block {block.index} missing from the allocatable index of {self.name}"
+            )
+        del index[at]
 
     # ------------------------------------------------------------------
     # Allocation / free
@@ -143,6 +177,7 @@ class Zone:
     ) -> Dict[MemoryBlock, int]:
         """Charge ``pages`` to ``owner`` according to the placement policy.
 
+        Blocks in ``exclude`` (migration sources) are not allocated from.
         Raises :class:`OutOfMemory` when the zone lacks free pages, leaving
         all state untouched.
         """
@@ -152,7 +187,12 @@ class Zone:
             raise MemoryError_(
                 f"zone {self.name} cannot hold unmovable owner {owner.owner_id}"
             )
-        plan = self.placement.plan(self.blocks, pages, exclude)
+        usable = self._allocatable
+        free = self._free_pages
+        if exclude and any(b.zone is self and not b.isolated for b in exclude):
+            usable = [b for b in usable if b not in exclude]
+            free = self.free_pages_excluding(exclude)
+        plan = self.placement.plan(usable, free, pages)
         if plan is None:
             raise OutOfMemory(
                 f"zone {self.name}: cannot allocate "
@@ -163,6 +203,8 @@ class Zone:
             block.charge(owner, count)
             owner._mirror_charge(block, count)
             self._free_pages -= count
+            if not block.free_pages:
+                self._unindex(block)
         return plan
 
     def release(self, owner: PageOwner, block: MemoryBlock, pages: int) -> None:
@@ -176,6 +218,8 @@ class Zone:
         block.uncharge(owner, pages)
         owner._mirror_uncharge(block, pages)
         if not block.isolated:
+            if block.free_pages == pages:
+                insort(self._allocatable, block, key=_by_index)
             self._free_pages += pages
 
     def __repr__(self) -> str:

@@ -169,6 +169,49 @@ class TestZoneFreeCounter:
         check_now(manager)
 
 
+class TestZoneAllocatableIndex:
+    def test_index_kept_through_churn(self, manager):
+        blocks = [
+            manager.online_block(index, manager.zone_movable)
+            for index in list(manager.hotplug_block_indices())[:3]
+        ]
+        first, second = MmStruct("churn-a"), MmStruct("churn-b")
+        manager.alloc_pages(first, 2 * 32768)  # runs blocks dry
+        manager.alloc_pages(second, 1000)
+        manager.isolate_block(blocks[2])
+        manager.free_all(first)
+        check_now(manager)
+        manager.unisolate_block(blocks[2])
+        manager.quarantine_block(blocks[1])
+        check_now(manager)
+        assert blocks[1] not in manager.zone_movable.allocatable_blocks
+
+    def test_missing_block_caught(self, manager):
+        zone = manager.zone_normal
+        zone._allocatable.remove(zone.blocks[3])
+        error = violation(manager)
+        assert error.rules == ["zone-allocatable-index"]
+        assert "1 missing, 0 stale" in str(error)
+        assert "block 3" in str(error)
+
+    def test_stale_isolated_block_caught(self, manager):
+        block = manager.online_block(
+            next(iter(manager.hotplug_block_indices())), manager.zone_movable
+        )
+        manager.isolate_block(block)
+        manager.zone_movable._allocatable.append(block)  # missed on isolate
+        error = violation(manager)
+        assert error.rules == ["zone-allocatable-index"]
+        assert "0 missing, 1 stale" in str(error)
+
+    def test_out_of_order_index_caught(self, manager):
+        index = manager.zone_normal._allocatable
+        index[0], index[1] = index[1], index[0]
+        error = violation(manager)
+        assert error.rules == ["zone-allocatable-index"]
+        assert "out of block order" in str(error)
+
+
 class TestBlockStateLegality:
     def test_offline_block_in_zone_caught(self, manager):
         block = manager.zone_normal.blocks[-1]
